@@ -31,7 +31,7 @@
 namespace greenhetero::checkpoint {
 
 /// Bump on any serialized-layout change; old snapshots are refused.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// A validated snapshot read back from disk.
 struct Snapshot {

@@ -45,7 +45,7 @@ double Allocation::ratio_sum() const {
 namespace {
 
 /// One group's admission check.  A fitted quadratic that evaluates to a
-/// non-finite Perf anywhere on [idle, peak] would poison every backend's
+/// non-finite Perf anywhere on [idle, peak] would poison the solver's
 /// comparisons (NaN compares false, so the "best" candidate is arbitrary);
 /// finite values at both endpoints of the bounded range imply finite
 /// coefficients and therefore finite values everywhere between them, so the
@@ -72,11 +72,12 @@ void validate_group(const GroupModel& g, std::size_t index) {
   }
 }
 
-/// Active-set sweep budget: 2^16 subsets is the exhaustive-search cap.
-constexpr std::size_t kMaxAnalyticGroups = 16;
+/// The active-set sweep enumerates subsets of a 16-bit mask; wider racks
+/// are rejected rather than solved approximately.
+constexpr std::size_t kMaxGroups = 16;
 
 void validate_inputs(std::span<const GroupModel> groups, Watts total_supply,
-                     std::size_t max_groups = 3) {
+                     std::size_t max_groups) {
   if (groups.empty() || groups.size() > max_groups) {
     throw SolverError("solver: group count out of range");
   }
@@ -104,14 +105,6 @@ double group_perf(const GroupModel& g, double ratio, Watts total) {
   return static_cast<double>(g.count) * g.perf_at(per_server);
 }
 
-/// The interesting kink ratios of a group: entering the operating range and
-/// saturating.  The optimum frequently sits exactly on one of these.
-std::vector<double> kink_ratios(const GroupModel& g, Watts total) {
-  return {0.0, ratio_for(g, g.min_power, total),
-          ratio_for(g, g.saturation_power(), total),
-          ratio_for(g, g.max_power, total)};
-}
-
 }  // namespace
 
 double Solver::evaluate(std::span<const GroupModel> groups,
@@ -129,10 +122,10 @@ double Solver::evaluate(std::span<const GroupModel> groups,
 namespace {
 
 /// Counter + trace event for one solver entry-point call (no-op outside a
-/// telemetry scope; benches hammering the backends directly stay clean).
-/// `iterations` is the backend's unit of search work — objective /
-/// marginal-gain evaluations — so gh_solver_iterations_total divided by
-/// gh_solver_calls_total exposes each path's per-call search cost.
+/// telemetry scope; benches hammering the solver directly stay clean).
+/// `iterations` is the solver's unit of search work — objective
+/// evaluations — so gh_solver_iterations_total divided by
+/// gh_solver_calls_total exposes each entry point's per-call search cost.
 void report_solve(const char* backend, std::span<const GroupModel> groups,
                   Watts total_supply, const Allocation& result,
                   std::uint64_t iterations) {
@@ -151,14 +144,14 @@ void report_solve(const char* backend, std::span<const GroupModel> groups,
                     {"predicted_perf", result.predicted_perf}});
 }
 
-/// Output sanity guard: a numerical backend must never hand the Enforcer a
-/// non-finite or out-of-range allocation.  Non-finite or negative ratios
-/// become 0, an over-committed sum is renormalised, and the performance
-/// estimate is recomputed after a repair.  (A ratio beyond a group's
-/// saturation cap is wasteful but valid — enforcement clamps it — so it is
-/// not treated as a defect.)  Repairs count into gh_solver_repairs_total;
-/// the healthy backends never trip this, so the metric stays absent (and
-/// the pass free) in clean runs.
+/// Output sanity guard: a solver must never hand the Enforcer a non-finite
+/// or out-of-range allocation.  Non-finite or negative ratios become 0, an
+/// over-committed sum is renormalised, and the performance estimate is
+/// recomputed after a repair.  (A ratio beyond a group's saturation cap is
+/// wasteful but valid — enforcement clamps it — so it is not treated as a
+/// defect.)  Repairs count into gh_solver_repairs_total; healthy solves
+/// never trip this, so the metric stays absent (and the pass free) in clean
+/// runs.
 void sanitize_allocation(std::span<const GroupModel> groups, Watts total,
                          bool recompute_perf, Allocation& result) {
   int repairs = 0;
@@ -189,90 +182,6 @@ void sanitize_allocation(std::span<const GroupModel> groups, Watts total,
 }
 
 }  // namespace
-
-/// The grid-refine production backend behind Solver::solve.  `evals`
-/// counts objective evaluations for gh_solver_iterations_total.
-static Allocation solve_grid_refine(std::span<const GroupModel> groups,
-                                    Watts total_supply,
-                                    std::uint64_t& evals) {
-  validate_inputs(groups, total_supply);
-  const Watts total = total_supply;
-
-  if (groups.size() == 1) {
-    const double r = cap_ratio(groups[0], total);
-    Allocation best{{r}, group_perf(groups[0], r, total), {}};
-    ++evals;
-    return best;
-  }
-
-  if (groups.size() == 2) {
-    const GroupModel& g0 = groups[0];
-    const GroupModel& g1 = groups[1];
-    const double cap0 = cap_ratio(g0, total);
-    const double cap1 = cap_ratio(g1, total);
-    const auto objective = [&](double r0) {
-      ++evals;
-      const double r1 = std::min(1.0 - r0, cap1);
-      return group_perf(g0, r0, total) + group_perf(g1, r1, total);
-    };
-    ScalarOptimum opt = grid_refine_maximize(objective, 0.0, cap0, 128);
-    // Check kink candidates of both groups (including each group's kinks
-    // reflected through the budget constraint).
-    auto consider = [&](double r0) {
-      r0 = std::clamp(r0, 0.0, cap0);
-      const double value = objective(r0);
-      if (value > opt.value) opt = ScalarOptimum{r0, value};
-    };
-    for (double k : kink_ratios(g0, total)) consider(k);
-    for (double k : kink_ratios(g1, total)) consider(1.0 - k);
-    // Analytic interior candidate (fast path oracle).  Near-degenerate
-    // curvature pairs have no usable interior solution (nullopt) and the
-    // scan above already covers them.
-    if (g0.fit.a < 0.0 && g1.fit.a < 0.0) {
-      if (const auto analytic = Solver::solve_analytic_2(groups, total)) {
-        consider(analytic->ratios[0]);
-      }
-    }
-    const double r0 = opt.x;
-    const double r1 = std::min(1.0 - r0, cap1);
-    return Allocation{{r0, r1}, opt.value, {}};
-  }
-
-  // Three groups: search (r0, r1) with r2 taking the capped remainder.
-  const double cap0 = cap_ratio(groups[0], total);
-  const double cap1 = cap_ratio(groups[1], total);
-  const double cap2 = cap_ratio(groups[2], total);
-  const auto objective = [&](double r0, double r1) {
-    ++evals;
-    const double r2 = std::min(std::max(0.0, 1.0 - r0 - r1), cap2);
-    return group_perf(groups[0], r0, total) +
-           group_perf(groups[1], r1, total) +
-           group_perf(groups[2], r2, total);
-  };
-  PlanarOptimum opt =
-      grid_refine_maximize_2d(objective, 0.0, cap0, 0.0, cap1, 1.0, 48, 5);
-  // Kink-seeded candidates.
-  for (double k0 : kink_ratios(groups[0], total)) {
-    for (double k1 : kink_ratios(groups[1], total)) {
-      const double r0 = std::clamp(k0, 0.0, cap0);
-      const double r1 = std::clamp(std::min(k1, 1.0 - r0), 0.0, cap1);
-      const double value = objective(r0, r1);
-      if (value > opt.value) opt = PlanarOptimum{r0, r1, value};
-    }
-  }
-  const double r2 = std::min(std::max(0.0, 1.0 - opt.x - opt.y), cap2);
-  return Allocation{{opt.x, opt.y, r2}, opt.value, {}};
-}
-
-Allocation Solver::solve(std::span<const GroupModel> groups,
-                         Watts total_supply) {
-  GH_PROBE("gh_solver_solve_ns");
-  std::uint64_t evals = 0;
-  Allocation result = solve_grid_refine(groups, total_supply, evals);
-  sanitize_allocation(groups, total_supply, /*recompute_perf=*/true, result);
-  report_solve("grid_refine", groups, total_supply, result, evals);
-  return result;
-}
 
 double Solver::best_subset_perf(const GroupModel& group, Watts group_budget,
                                 int* active_out) {
@@ -309,7 +218,7 @@ double Solver::best_subset_perf(const GroupModel& group, Watts group_budget,
 Allocation Solver::solve_subset(std::span<const GroupModel> groups,
                                 Watts total_supply) {
   GH_PROBE("gh_solver_solve_subset_ns");
-  validate_inputs(groups, total_supply);
+  validate_inputs(groups, total_supply, /*max_groups=*/3);
   const Watts total = total_supply;
   std::uint64_t evals = 0;
   const auto subset_perf = [&](std::size_t g, double ratio) {
@@ -389,164 +298,6 @@ Allocation Solver::solve_subset(std::span<const GroupModel> groups,
   return best;
 }
 
-Allocation Solver::solve_n(std::span<const GroupModel> groups,
-                           Watts total_supply, int quanta) {
-  if (groups.empty()) {
-    throw SolverError("solver: needs at least one group");
-  }
-  if (groups.size() <= 3) {
-    return solve(groups, total_supply);
-  }
-  GH_PROBE("gh_solver_solve_n_ns");
-  if (groups.size() <= kMaxAnalyticGroups) {
-    // The closed-form KKT sweep is exact wherever its mask width allows;
-    // the greedy water-filling below survives only for wider instances.
-    // (The greedy path can lose real performance on activation missteps a
-    // pairwise exchange cannot repair — e.g. spending the supply on two
-    // small groups when one large group's all-or-nothing floor was the
-    // optimum — so it must not be preferred when exactness is available.)
-    return solve_analytic_n(groups, total_supply);
-  }
-  if (total_supply.value() <= 0.0) {
-    throw SolverError("solver: total supply must be positive");
-  }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    validate_group(groups[i], i);
-  }
-  quanta = std::max(quanta, 20);
-  const double quantum = 1.0 / quanta;
-  const Watts total = total_supply;
-
-  std::vector<double> ratios(groups.size(), 0.0);
-  double remaining = 1.0;
-  std::uint64_t evals = 0;
-
-  // Greedy water-filling: each step gives one quantum (or, for a sleeping
-  // group, the whole activation chunk up to its floor) to the group with
-  // the best performance gain per ratio spent.
-  while (remaining > 1e-9) {
-    double best_gain_rate = 0.0;
-    std::size_t best = groups.size();
-    double best_spend = 0.0;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      const GroupModel& g = groups[i];
-      const double cap = cap_ratio(g, total);
-      if (ratios[i] >= cap - 1e-12) continue;
-      const double floor_ratio = ratio_for(g, g.min_power, total);
-      double spend;
-      if (ratios[i] < floor_ratio) {
-        // Activation is all-or-nothing: spend up to the floor at once.
-        spend = floor_ratio - ratios[i] + quantum;
-      } else {
-        spend = quantum;
-      }
-      spend = std::min({spend, remaining, cap - ratios[i]});
-      if (spend <= 1e-12) continue;
-      ++evals;
-      const double gain = group_perf(g, ratios[i] + spend, total) -
-                          group_perf(g, ratios[i], total);
-      const double rate = gain / spend;
-      if (rate > best_gain_rate) {
-        best_gain_rate = rate;
-        best = i;
-        best_spend = spend;
-      }
-    }
-    if (best == groups.size()) break;  // nobody gains: leave it for charging
-    ratios[best] += best_spend;
-    remaining -= best_spend;
-  }
-
-  // The greedy loop can strand the final residual: when every unsaturated
-  // group is within one quantum of its cap, the per-group `spend` shrinks
-  // until the gain cancels to zero in float and the loop exits with
-  // `remaining` unspent even though an unclamped group could still use it.
-  // Hand the whole residual to the group that gains most from it (ties and
-  // zero-gain cancellation go to the first unclamped group).
-  if (remaining > 1e-12) {
-    std::size_t best = groups.size();
-    double best_gain = -1.0;
-    double best_spend = 0.0;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      const GroupModel& g = groups[i];
-      const double spend =
-          std::min(remaining, cap_ratio(g, total) - ratios[i]);
-      if (spend <= 1e-12) continue;
-      // Skip groups the residual cannot activate (still below the floor).
-      const double floor_ratio = ratio_for(g, g.min_power, total);
-      if (ratios[i] + spend < floor_ratio - 1e-12) continue;
-      ++evals;
-      const double gain = group_perf(g, ratios[i] + spend, total) -
-                          group_perf(g, ratios[i], total);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = i;
-        best_spend = spend;
-      }
-    }
-    if (best != groups.size() && best_gain >= 0.0) {
-      ratios[best] += best_spend;
-      remaining -= best_spend;
-    }
-  }
-
-  // Pairwise-exchange refinement: greedy activation can strand a high-floor
-  // group; jointly re-optimising every pair's combined share (plus the
-  // unallocated remainder) with the 2-group machinery fixes the classic
-  // greedy mis-steps and cleans up sub-floor residue.
-  for (int round = 0; round < 3; ++round) {
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      for (std::size_t j = i + 1; j < groups.size(); ++j) {
-        const GroupModel& gi = groups[i];
-        const GroupModel& gj = groups[j];
-        const double pool = ratios[i] + ratios[j] + remaining;
-        if (pool <= 1e-12) continue;
-        const double cap_i = std::min(pool, cap_ratio(gi, total));
-        const double cap_j = cap_ratio(gj, total);
-        const auto objective = [&](double ri) {
-          ++evals;
-          const double rj = std::min(pool - ri, cap_j);
-          return group_perf(gi, ri, total) + group_perf(gj, rj, total);
-        };
-        ScalarOptimum opt{0.0, objective(0.0)};
-        const ScalarOptimum scanned =
-            grid_refine_maximize(objective, 0.0, cap_i, 64);
-        if (scanned.value > opt.value) opt = scanned;
-        for (double k : kink_ratios(gi, total)) {
-          const double r = std::clamp(k, 0.0, cap_i);
-          const double value = objective(r);
-          if (value > opt.value) opt = ScalarOptimum{r, value};
-        }
-        for (double k : kink_ratios(gj, total)) {
-          const double r = std::clamp(pool - k, 0.0, cap_i);
-          const double value = objective(r);
-          if (value > opt.value) opt = ScalarOptimum{r, value};
-        }
-        const double ri = opt.x;
-        const double rj = std::min(pool - ri, cap_j);
-        ratios[i] = ri;
-        ratios[j] = rj;
-        remaining = pool - ri - rj;
-      }
-    }
-  }
-
-  // Clean up residue a group cannot use (below its activation floor).
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const double floor_ratio = ratio_for(groups[i], groups[i].min_power, total);
-    if (ratios[i] > 0.0 && ratios[i] < floor_ratio - 1e-12) {
-      remaining += ratios[i];
-      ratios[i] = 0.0;
-    }
-  }
-
-  Allocation result{std::move(ratios), 0.0, {}};
-  result.predicted_perf = evaluate(groups, result.ratios, total);
-  sanitize_allocation(groups, total_supply, /*recompute_perf=*/true, result);
-  report_solve("waterfill", groups, total_supply, result, evals);
-  return result;
-}
-
 Allocation Solver::solve_grid(std::span<const GroupModel> groups,
                               Watts total_supply, double granularity) {
   GH_PROBE("gh_solver_solve_grid_ns");
@@ -587,23 +338,26 @@ Allocation Solver::solve_grid(std::span<const GroupModel> groups,
   return best;
 }
 
+namespace {
+
 // ---------------------------------------------------------------------------
-// Closed-form KKT / water-filling backend (solve_analytic_n, solve_batch).
+// The closed-form KKT / water-filling sweep behind Solver::solve.
 //
 // Each group's feasible per-server power is {0} ∪ [lo, hi]: the idle cliff
 // makes the problem non-convex, but once an *active set* is fixed (which
 // groups get any power at all) the objective is a sum of clamped quadratics
-// and the KKT conditions solve it in closed form.  The backend enumerates
-// active sets (pruned by a weak-duality bound built from the full set's
+// and the KKT conditions solve it in closed form.  The sweep enumerates
+// active sets (pruned by a weak-duality bound built from the incumbent's
 // multiplier), water-fills each set's strictly concave members by sweeping
 // the Lagrange multiplier down the sorted marginal-utility breakpoints, and
 // enumerates endpoint configurations for degenerate (near-linear / convex)
 // members.  Every candidate is validated against the full clamped objective
 // through the same ratio round-trip evaluate() performs, so the winning
 // value is exactly what the caller will observe.
+//
+// All working state is fixed-capacity and lives on the caller's stack: a
+// solve allocates only its returned ratio vector, on any thread.
 // ---------------------------------------------------------------------------
-
-namespace {
 
 /// Curvature above this is treated as degenerate (near-linear or convex):
 /// the interior stationary point either does not exist or hides behind an
@@ -616,193 +370,178 @@ constexpr double kEdgeCurvature = -1e-6;
 /// (the candidate is still validated against the clamped objective).
 constexpr int kMaxEdgeBits = 8;
 
-/// Raw scalars of one group.  Both entry points (GroupModel spans and the
-/// SoA batch) convert into this, so their float arithmetic — and therefore
-/// their results — are bit-identical.
-struct RawGroup {
-  double n;      ///< server count
-  double a, b, c;
-  double min_w;  ///< the off-below-idle cliff
-  double max_w;
+using Ratios = std::array<double, kMaxGroups>;
+
+/// One group's precomputed KKT view.  No default member initialisers:
+/// KktSweep holds kMaxGroups of them and kkt_precompute value-initialises
+/// only the ones it fills.
+struct KktGroup {
+  const GroupModel* model;
+  double n;       ///< server count
+  double a;       ///< fit curvature
+  double b;       ///< fit slope at 0 W
+  double min_w;   ///< the off-below-idle cliff
+  double lo;      ///< effective floor: cliff, lifted to the fit's first zero
+                  ///< when Perf(min_w) clamps to 0
+  double hi;      ///< saturation: beyond this more watts buy nothing
+  double w_lo;    ///< n * lo
+  double w_hi;    ///< n * hi
+  double f_lo;    ///< clamped per-server Perf at lo
+  double f_hi;    ///< clamped per-server Perf at hi
+  double d_lo;    ///< fit slope at lo (the marginal entering the range)
+  double d_hi;    ///< fit slope at hi
+  double na;      ///< n / (2a) (0 when the curvature vanishes)
+  double nb;      ///< n * b / (2a)
+  double inv_2a;  ///< 1 / (2a) — the water-filling response slope
+  double z;       ///< n * Perf at 0 W (non-zero only when min_w == 0)
+  double u;       ///< n * max(f_lo, f_hi) - z: crude subset bound term
+  std::size_t index;  ///< position in the caller's group list
+  bool edge;          ///< degenerate curvature: endpoint treatment
 };
 
-/// Mirror of GroupModel::perf_at on raw scalars: same operations in the
-/// same order, so scalar evaluation matches Solver::evaluate bit-for-bit.
-double perf_scalar(const RawGroup& g, double per_server) {
-  if (per_server < g.min_w) return 0.0;
-  const double x = std::min(per_server, g.max_w);
-  return std::max((g.a * x + g.b) * x + g.c, 0.0);
-}
-
-/// Mirror of group_perf (including the ratio -> per-server round trip).
-double group_perf_scalar(const RawGroup& g, double ratio, double total) {
-  const double per_server = ratio * total / g.n;
-  return g.n * perf_scalar(g, per_server);
-}
-
-/// Mirror of Solver::evaluate over raw scalars.
-double evaluate_scalar(std::span<const RawGroup> raw,
-                       std::span<const double> ratios, double total) {
-  double perf = 0.0;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    perf += group_perf_scalar(raw[i], ratios[i], total);
-  }
-  return perf;
-}
-
-/// One group's precomputed analytic view.
-struct AnalyticGroup {
-  RawGroup raw{};
-  double lo = 0.0;    ///< effective floor: cliff, lifted to the fit's first
-                      ///< zero when Perf(min_w) clamps to 0
-  double hi = 0.0;    ///< saturation: beyond this more watts buy nothing
-  double w_lo = 0.0;  ///< n * lo
-  double w_hi = 0.0;  ///< n * hi
-  double f_lo = 0.0;  ///< clamped per-server Perf at lo
-  double f_hi = 0.0;  ///< clamped per-server Perf at hi
-  double d_lo = 0.0;  ///< fit slope at lo (the marginal entering the range)
-  double d_hi = 0.0;  ///< fit slope at hi
-  double na = 0.0;     ///< n / (2a) (0 when the curvature vanishes)
-  double nb = 0.0;     ///< n * b / (2a)
-  double inv_2a = 0.0; ///< 1 / (2a) — the water-filling response slope
-  double z = 0.0;     ///< n * Perf at 0 W (non-zero only when min_w == 0)
-  double u = 0.0;     ///< n * max(f_lo, f_hi) - z: crude subset bound term
-  std::size_t index = 0;  ///< position in the caller's group list
-  bool edge = false;      ///< degenerate curvature: endpoint treatment
-};
-
-/// Build the analytic view of one (already validated) group.  Returns false
-/// when the group cannot contribute positive performance anywhere in its
-/// range — it is left out of the active-set sweep and always gets ratio 0.
-bool analytic_precompute(const RawGroup& raw, std::size_t index,
-                         AnalyticGroup& g) {
-  g = AnalyticGroup{};
-  g.raw = raw;
+/// Build the KKT view of one (already validated) group.  Returns false when
+/// the group cannot contribute positive performance anywhere in its range —
+/// it is left out of the active-set sweep and always gets ratio 0.
+bool kkt_precompute(const GroupModel& model, std::size_t index, KktGroup& g) {
+  g = KktGroup{};
+  g.model = &model;
   g.index = index;
-  const auto fit = [&](double x) { return (raw.a * x + raw.b) * x + raw.c; };
-  // Saturation (GroupModel::saturation_power semantics).
-  double hi = raw.max_w;
-  if (raw.a < 0.0) {
-    const double vertex = -raw.b / (2.0 * raw.a);
-    if (vertex > raw.min_w && vertex < raw.max_w) hi = vertex;
-  }
-  double lo = raw.min_w;
-  if (fit(raw.min_w) < 0.0) {
-    if (fit(hi) <= 0.0) return false;  // Perf <= 0 on the whole useful range
+  g.n = static_cast<double>(model.count);
+  g.a = model.fit.a;
+  g.b = model.fit.b;
+  g.min_w = model.min_power.value();
+  const double c = model.fit.c;
+  const auto per_server = [&](double p) { return model.perf_at(Watts{p}); };
+  double hi = model.saturation_power().value();
+  double lo = g.min_w;
+  if (model.fit(g.min_w) < 0.0) {
+    if (model.fit(hi) <= 0.0) return false;  // Perf <= 0 on the useful range
     // The fit's first zero in (min_w, hi]: powering the group below it
     // yields zero Perf, so the effective floor moves up to the root.
     // Stable roots via the q-formula; linear root when curvature vanishes.
     double root = hi;
-    if (std::fabs(raw.a) > 1e-300) {
-      const double disc = raw.b * raw.b - 4.0 * raw.a * raw.c;
+    if (std::fabs(g.a) > 1e-300) {
+      const double disc = g.b * g.b - 4.0 * g.a * c;
       if (disc > 0.0) {
-        const double q =
-            -0.5 * (raw.b + std::copysign(std::sqrt(disc), raw.b));
+        const double q = -0.5 * (g.b + std::copysign(std::sqrt(disc), g.b));
         double found = std::numeric_limits<double>::infinity();
-        const double r1 = q / raw.a;
+        const double r1 = q / g.a;
         const double r2 =
-            q != 0.0 ? raw.c / q : std::numeric_limits<double>::infinity();
+            q != 0.0 ? c / q : std::numeric_limits<double>::infinity();
         for (double r : {r1, r2}) {
-          if (std::isfinite(r) && r > raw.min_w && r <= hi && r < found) {
+          if (std::isfinite(r) && r > g.min_w && r <= hi && r < found) {
             found = r;
           }
         }
         if (std::isfinite(found)) root = found;
       }
-    } else if (raw.b != 0.0) {
-      const double r = -raw.c / raw.b;
-      if (std::isfinite(r) && r > raw.min_w && r <= hi) root = r;
+    } else if (g.b != 0.0) {
+      const double r = -c / g.b;
+      if (std::isfinite(r) && r > g.min_w && r <= hi) root = r;
     }
     lo = root;
   }
   if (lo > hi) lo = hi;
   g.lo = lo;
   g.hi = hi;
-  g.w_lo = raw.n * lo;
-  g.w_hi = raw.n * hi;
-  g.f_lo = perf_scalar(raw, lo);
-  g.f_hi = perf_scalar(raw, hi);
-  g.z = raw.n * perf_scalar(raw, 0.0);
-  g.u = raw.n * std::max(g.f_lo, g.f_hi) - g.z;
-  if (raw.n * std::max(g.f_lo, g.f_hi) <= 0.0) return false;
-  g.d_lo = 2.0 * raw.a * lo + raw.b;
-  g.d_hi = 2.0 * raw.a * hi + raw.b;
-  if (raw.a != 0.0) {
-    g.inv_2a = 1.0 / (2.0 * raw.a);
-    g.na = raw.n / (2.0 * raw.a);
-    g.nb = raw.n * raw.b / (2.0 * raw.a);
+  g.w_lo = g.n * lo;
+  g.w_hi = g.n * hi;
+  g.f_lo = per_server(lo);
+  g.f_hi = per_server(hi);
+  g.z = g.n * per_server(0.0);
+  g.u = g.n * std::max(g.f_lo, g.f_hi) - g.z;
+  if (g.n * std::max(g.f_lo, g.f_hi) <= 0.0) return false;
+  g.d_lo = 2.0 * g.a * lo + g.b;
+  g.d_hi = 2.0 * g.a * hi + g.b;
+  if (g.a != 0.0) {
+    g.inv_2a = 1.0 / (2.0 * g.a);
+    g.na = g.n / (2.0 * g.a);
+    g.nb = g.n * g.b / (2.0 * g.a);
   }
-  g.edge = raw.a >= kEdgeCurvature;
+  g.edge = g.a >= kEdgeCurvature;
   return true;
 }
 
 /// The best candidate seen so far: its clamped-objective value, its ratio
-/// vector (sized for the caller's full group list), and the multiplier of
-/// the configuration that produced it (used for the dual pruning bound).
-struct BestCandidate {
+/// vector (indexed like the caller's group list), and the multiplier of the
+/// configuration that produced it (used for the dual pruning bound).
+struct Candidate {
   double value = -std::numeric_limits<double>::infinity();
-  std::vector<double> ratios;
+  Ratios ratios{};
   double lambda = 0.0;
 };
 
-/// Reusable buffers so a fleet-sized batch allocates O(max groups), not
-/// O(total groups).
-struct AnalyticScratch {
-  std::vector<AnalyticGroup> groups;  ///< useful groups only
-  std::vector<double> cand_ratios;
-  BestCandidate best;
-  BestCandidate probe;  ///< throwaway target for the warm-start evaluation
-  std::vector<std::uint32_t> solved;  ///< masks solved by the enumeration
-};
+/// One solve's working state.
+struct KktSweep {
+  std::array<KktGroup, kMaxGroups> groups;  ///< useful groups, first m
+  std::size_t m = 0;
+  std::size_t total_groups = 0;  ///< the caller's group count
+  double P = 0.0;                ///< total supply (W)
+  std::uint64_t evals = 0;
+  Candidate best;
+  Ratios cand{};
 
-/// Convert a per-server candidate (indexed like `gs`, 0 = inactive) into
-/// ratios and return its value through the same ratio round-trip
-/// evaluate() performs.  A ratio meant to put a group exactly on a floor
-/// can land one ULP below it after the round trip, which the idle cliff
-/// would punish with the whole group's performance — nudge such ratios up
-/// until the round trip clears the cliff.
-double assemble_candidate(const std::vector<AnalyticGroup>& gs,
-                          std::size_t total_groups, double P,
-                          std::span<const double> per_server,
-                          std::vector<double>& ratios) {
-  ratios.assign(total_groups, 0.0);
-  for (std::size_t j = 0; j < gs.size(); ++j) {
-    const AnalyticGroup& g = gs[j];
-    const double p = per_server[j];
-    if (p <= 0.0) continue;
-    double ratio = g.raw.n * p / P;
-    if (p >= g.raw.min_w) {
-      for (int guard = 0;
-           guard < 4 && ratio * P / g.raw.n < g.raw.min_w; ++guard) {
-        ratio = std::nextafter(ratio, 2.0);
+  [[nodiscard]] std::span<const KktGroup> useful() const {
+    return {groups.data(), m};
+  }
+
+  /// Convert a per-server candidate (indexed like `groups`, 0 = inactive)
+  /// into `cand` ratios and return its value through the same ratio round
+  /// trip evaluate() performs.  A ratio meant to put a group exactly on a
+  /// floor can land one ULP below it after the round trip, which the idle
+  /// cliff would punish with the whole group's performance — nudge such
+  /// ratios up until the round trip clears the cliff.
+  double assemble(std::span<const double> per_server) {
+    ++evals;
+    std::fill_n(cand.begin(), total_groups, 0.0);
+    for (std::size_t j = 0; j < m; ++j) {
+      const KktGroup& g = groups[j];
+      const double p = per_server[j];
+      if (p <= 0.0) continue;
+      double ratio = g.n * p / P;
+      if (p >= g.min_w) {
+        for (int guard = 0; guard < 4 && ratio * P / g.n < g.min_w; ++guard) {
+          ratio = std::nextafter(ratio, 2.0);
+        }
       }
+      cand[g.index] = ratio;
     }
-    ratios[g.index] = ratio;
+    double value = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      const KktGroup& g = groups[j];
+      value += group_perf(*g.model, cand[g.index], Watts{P});
+    }
+    return value;
   }
-  double value = 0.0;
-  for (const AnalyticGroup& g : gs) {
-    value += group_perf_scalar(g.raw, ratios[g.index], P);
+
+  /// Keep `cand` (worth `value`, produced at multiplier `lambda`) when it
+  /// strictly beats the incumbent, so the first achiever of the optimum
+  /// wins.
+  void offer(double value, double lambda) {
+    if (value > best.value) {
+      best.value = value;
+      best.lambda = lambda;
+      best.ratios = cand;
+    }
   }
-  return value;
-}
+
+  double solve_mask(std::uint32_t mask);
+};
 
 /// Solve one active set: enumerate its endpoint configurations, water-fill
 /// the strictly concave members per configuration, validate every candidate
-/// and merge improvements into `best` (strict >, so the first achiever of
-/// the optimum wins regardless of what pruning skipped).  Returns the best
-/// value this mask achieved, or -inf when its floors alone blow the budget.
-double solve_mask(const std::vector<AnalyticGroup>& gs,
-                  std::size_t total_groups, double P, std::uint32_t mask,
-                  std::uint64_t& evals, std::vector<double>& cand_ratios,
-                  BestCandidate& best) {
-  std::array<std::uint8_t, kMaxAnalyticGroups> concave{};
-  std::array<std::uint8_t, kMaxAnalyticGroups> edge{};
-  std::array<std::uint8_t, kMaxAnalyticGroups> pinned{};
+/// and offer it to the incumbent.  Returns the best value this mask
+/// achieved, or -inf when its floors alone blow the budget.
+double KktSweep::solve_mask(std::uint32_t mask) {
+  const std::span<const KktGroup> gs = useful();
+  std::array<std::uint8_t, kMaxGroups> concave{};
+  std::array<std::uint8_t, kMaxGroups> edge{};
+  std::array<std::uint8_t, kMaxGroups> pinned{};
   int n_concave = 0, n_edge = 0, n_pinned = 0;
   double floor_w = 0.0;
   for (std::uint32_t mm = mask; mm != 0; mm &= mm - 1) {
     const int j = std::countr_zero(mm);
-    const AnalyticGroup& g = gs[static_cast<std::size_t>(j)];
+    const KktGroup& g = gs[static_cast<std::size_t>(j)];
     floor_w += g.w_lo;
     if (g.hi - g.lo < 1e-12) {
       pinned[n_pinned++] = static_cast<std::uint8_t>(j);
@@ -820,19 +559,12 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
   }
 
   double mask_best = -std::numeric_limits<double>::infinity();
-  std::array<double, kMaxAnalyticGroups> p{};
+  std::array<double, kMaxGroups> p{};
 
   const auto consider = [&](double lambda) {
-    ++evals;
-    const double value =
-        assemble_candidate(gs, total_groups, P,
-                           {p.data(), gs.size()}, cand_ratios);
+    const double value = assemble({p.data(), m});
     if (value > mask_best) mask_best = value;
-    if (value > best.value) {
-      best.value = value;
-      best.lambda = lambda;
-      std::swap(best.ratios, cand_ratios);
-    }
+    offer(value, lambda);
   };
 
   /// Concave members' per-server response at multiplier λ, written into p.
@@ -840,13 +572,13 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
     double used = 0.0;
     for (int k = 0; k < n_concave; ++k) {
       const std::uint8_t j = concave[static_cast<std::size_t>(k)];
-      const AnalyticGroup& g = gs[j];
+      const KktGroup& g = gs[j];
       double pj = g.lo;
       if (g.d_lo > 0.0) {
-        pj = std::clamp((lambda - g.raw.b) * g.inv_2a, g.lo, g.hi);
+        pj = std::clamp((lambda - g.b) * g.inv_2a, g.lo, g.hi);
       }
       p[j] = pj;
-      used += g.raw.n * pj;
+      used += g.n * pj;
     }
     return used;
   };
@@ -858,13 +590,13 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
   // one absorber at a time is exhaustive.  A near-linear absorber fills at
   // its flat marginal λ = b instead of via the 1/(2a) root machinery.
   for (int absorber = -1; absorber < n_edge; ++absorber) {
-    const AnalyticGroup* ab = nullptr;
+    const KktGroup* ab = nullptr;
     std::uint8_t ab_index = 0;
     if (absorber >= 0) {
       ab_index = edge[static_cast<std::size_t>(absorber)];
       ab = &gs[ab_index];
     }
-    std::array<std::uint8_t, kMaxAnalyticGroups> free_edges{};
+    std::array<std::uint8_t, kMaxGroups> free_edges{};
     int n_free = 0;
     for (int k = 0; k < n_edge; ++k) {
       if (k != absorber) free_edges[n_free++] = edge[static_cast<std::size_t>(k)];
@@ -875,12 +607,12 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
       p.fill(0.0);
       double fixed_w = 0.0;
       for (int k = 0; k < n_pinned; ++k) {
-        const AnalyticGroup& g = gs[pinned[static_cast<std::size_t>(k)]];
+        const KktGroup& g = gs[pinned[static_cast<std::size_t>(k)]];
         p[pinned[static_cast<std::size_t>(k)]] = g.lo;
         fixed_w += g.w_lo;
       }
       for (int k = 0; k < n_free; ++k) {
-        const AnalyticGroup& g = gs[free_edges[static_cast<std::size_t>(k)]];
+        const KktGroup& g = gs[free_edges[static_cast<std::size_t>(k)]];
         const bool at_hi = k < cfg_bits ? ((cfg >> k) & 1) != 0
                                         : g.f_hi > g.f_lo;
         p[free_edges[static_cast<std::size_t>(k)]] = at_hi ? g.hi : g.lo;
@@ -891,19 +623,18 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
       }
       const double budget = P - fixed_w;
 
-      if (ab != nullptr && ab->raw.a < 1e-6) {
+      if (ab != nullptr && ab->a < 1e-6) {
         // Near-linear absorber: its marginal is essentially the constant b,
         // so dV/dλ flips sign exactly at λ = b — the joint optimum fills
         // the concave members to that marginal and hands the remainder to
         // the absorber.  (This sidesteps the ill-conditioned 1/(2a) root
         // machinery entirely; the O(|a|·range²) curvature term is far
         // below the oracle's tolerance.)
-        const double lambda = std::max(ab->raw.b, 0.0);
+        const double lambda = std::max(ab->b, 0.0);
         const double used = place_concave(lambda);
         const double leftover = budget - used;
         if (leftover >= ab->w_lo - 1e-9) {
-          p[ab_index] =
-              std::min(ab->hi, std::max(ab->lo, leftover / ab->raw.n));
+          p[ab_index] = std::min(ab->hi, std::max(ab->lo, leftover / ab->n));
           consider(lambda);
         }
         continue;
@@ -923,28 +654,26 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
         std::uint8_t kind;  ///< 0/1 concave leaves-lo/saturates;
                             ///< 2/3 absorber leaves-hi/reaches-lo
       };
-      std::array<Breakpoint, 2 * kMaxAnalyticGroups + 2> bps;
+      std::array<Breakpoint, 2 * kMaxGroups + 2> bps;
       int n_bps = 0;
       double w_base = concave_floor;  // watts of members clamped at an endpoint
       double sum_a = 0.0;             // Σ n/(2a) over free members
       double sum_b = 0.0;             // Σ n*b/(2a) over free members
       for (int k = 0; k < n_concave; ++k) {
         const std::uint8_t j = concave[static_cast<std::size_t>(k)];
-        const AnalyticGroup& g = gs[j];
+        const KktGroup& g = gs[j];
         if (g.d_lo <= 0.0) continue;  // marginal never positive: stays at lo
         bps[n_bps++] = {g.d_lo, j, 0};
         if (g.d_hi > 0.0) bps[n_bps++] = {g.d_hi, j, 1};
       }
       if (ab != nullptr) {
         w_base += ab->w_hi;  // at λ = ∞ a convex absorber clamps at hi
-        const std::uint8_t j = edge[static_cast<std::size_t>(absorber)];
-        if (ab->d_hi > 0.0) bps[n_bps++] = {ab->d_hi, j, 2};
-        if (ab->d_lo > 0.0) bps[n_bps++] = {ab->d_lo, j, 3};
+        if (ab->d_hi > 0.0) bps[n_bps++] = {ab->d_hi, ab_index, 2};
+        if (ab->d_lo > 0.0) bps[n_bps++] = {ab->d_lo, ab_index, 3};
       }
-      // Insertion sort: n_bps <= 2 * kMaxAnalyticGroups and typically < 8,
-      // where this beats std::sort.  The (lam, j, kind) key is unique per
-      // entry, so any correct sort yields the same sequence (bit-identity
-      // across warm/cold/batched runs is preserved).
+      // Insertion sort: n_bps <= 2 * kMaxGroups and typically < 8, where
+      // this beats std::sort.  The (lam, j, kind) key is unique per entry,
+      // so any correct sort yields the same sequence.
       const auto bp_before = [](const Breakpoint& x, const Breakpoint& y) {
         if (x.lam != y.lam) return x.lam > y.lam;
         if (x.j != y.j) return x.j < y.j;
@@ -962,8 +691,7 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
 
       const auto place_absorber = [&](double lambda) {
         if (ab == nullptr) return;
-        p[ab - gs.data()] = std::clamp((lambda - ab->raw.b) * ab->inv_2a,
-                                       ab->lo, ab->hi);
+        p[ab_index] = std::clamp((lambda - ab->b) * ab->inv_2a, ab->lo, ab->hi);
       };
       const auto try_root = [&](double lam_lo, double lam_hi) {
         if (sum_a == 0.0) return false;
@@ -998,28 +726,26 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
           }
         }
         if (bps[k].lam <= 0.0) break;  // λ* >= 0: lower breakpoints moot
-        const AnalyticGroup& g = gs[bps[k].j];
-        const double na = g.na;
-        const double nb = g.nb;
+        const KktGroup& g = gs[bps[k].j];
         switch (bps[k].kind) {
           case 0:  // concave member leaves its floor
             w_base -= g.w_lo;
-            sum_a += na;
-            sum_b += nb;
+            sum_a += g.na;
+            sum_b += g.nb;
             break;
           case 1:  // concave member saturates
-            sum_a -= na;
-            sum_b -= nb;
+            sum_a -= g.na;
+            sum_b -= g.nb;
             w_base += g.w_hi;
             break;
           case 2:  // absorber drops below hi into the interior
             w_base -= g.w_hi;
-            sum_a += na;
-            sum_b += nb;
+            sum_a += g.na;
+            sum_b += g.nb;
             break;
           default:  // absorber reaches its floor
-            sum_a -= na;
-            sum_b -= nb;
+            sum_a -= g.na;
+            sum_b -= g.nb;
             w_base += g.w_lo;
             break;
         }
@@ -1050,10 +776,10 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
         if (leftover > 1e-9) {
           for (int k = 0; k < n_free; ++k) {
             const std::uint8_t j = free_edges[static_cast<std::size_t>(k)];
-            const AnalyticGroup& g = gs[j];
+            const KktGroup& g = gs[j];
             if (p[j] != g.lo || g.hi <= g.lo) continue;
             const double saved = p[j];
-            p[j] = std::min(g.hi, g.lo + leftover / g.raw.n);
+            p[j] = std::min(g.hi, g.lo + leftover / g.n);
             consider(lambda);
             p[j] = saved;
           }
@@ -1064,423 +790,193 @@ double solve_mask(const std::vector<AnalyticGroup>& gs,
   return mask_best;
 }
 
-/// The shared core behind solve_analytic_n and solve_batch.
-Allocation analytic_solve(std::span<const RawGroup> raw, double P,
-                          const SolverHint* hint, AnalyticScratch& s,
-                          std::uint64_t& evals) {
-  std::vector<AnalyticGroup>& gs = s.groups;
-  gs.clear();
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    AnalyticGroup g;
-    if (analytic_precompute(raw[i], i, g)) gs.push_back(g);
-  }
-  const std::size_t m = gs.size();
-
-  BestCandidate& best = s.best;
-  best.value = -std::numeric_limits<double>::infinity();
-  best.lambda = 0.0;
+/// Sweep the active sets of the useful groups; leaves the optimum in
+/// `s.best`.
+void kkt_sweep(KktSweep& s) {
+  const std::size_t m = s.m;
+  const std::span<const KktGroup> gs = s.useful();
+  const double P = s.P;
 
   // Baseline candidate: everything off (it is the only feasible point when
   // every floor exceeds the budget, and it anchors comparisons when groups
   // are live at 0 W because their floor is 0).
-  std::array<double, kMaxAnalyticGroups> p{};
-  ++evals;
-  best.value = assemble_candidate(gs, raw.size(), P, {p.data(), m},
-                                  s.cand_ratios);
-  std::swap(best.ratios, s.cand_ratios);
+  std::array<double, kMaxGroups> p{};
+  s.offer(s.assemble({p.data(), m}), 0.0);
+  if (m == 0) return;
 
-  if (m > 0) {
-    double sum_w_hi = 0.0;
-    double z_total = 0.0;
-    for (const AnalyticGroup& g : gs) {
-      sum_w_hi += g.w_hi;
-      z_total += g.z;
-    }
-    if (sum_w_hi <= P) {
-      // Abundance fast path: every group can afford its own best point, so
-      // the optimum decouples into per-group argmaxes over {off, lo, hi}
-      // (concave members rise to hi; a decreasing or convex fit may prefer
-      // its floor or staying off).
-      for (std::size_t j = 0; j < m; ++j) {
-        const AnalyticGroup& g = gs[j];
-        const double f0 = g.z / g.raw.n;
-        if (g.f_hi >= g.f_lo && g.f_hi >= f0) {
-          p[j] = g.hi;
-        } else if (g.f_lo >= f0) {
-          p[j] = g.lo;
-        } else {
-          p[j] = 0.0;
-        }
-      }
-      ++evals;
-      const double value = assemble_candidate(gs, raw.size(), P,
-                                              {p.data(), m}, s.cand_ratios);
-      if (value > best.value) {
-        best.value = value;
-        std::swap(best.ratios, s.cand_ratios);
-      }
-    } else {
-      const std::uint32_t full = (std::uint32_t{1} << m) - 1;
-      const double full_value = solve_mask(gs, raw.size(), P, full, evals,
-                                           s.cand_ratios, best);
-
-      // Weak-duality pruning bound.  For any λ >= 0 and any candidate of
-      // any mask:  value <= λ·P + Σ_{i∉mask} z_i + Σ_{i∈mask} score_i(λ),
-      // where score_i = max_p (n·Perf_i(p) - λ·n·p) over p ∈ [lo, hi].
-      // With λ taken from the incumbent's configuration the bound is tight
-      // at the optimum, so subsets that merely re-shuffle watts are
-      // rejected without being solved.  Rebuilt every time the incumbent
-      // improves, which keeps it tight as the enumeration runs.
-      std::array<double, kMaxAnalyticGroups> adj{};
-      const bool have_dual =
-          full_value > -std::numeric_limits<double>::infinity();
-      double lam = 0.0;
-      double dual_base = z_total;
-      const auto rebuild_dual = [&](double lambda) {
-        lam = lambda;
-        dual_base = lam * P + z_total;
-        for (std::size_t j = 0; j < m; ++j) {
-          const AnalyticGroup& g = gs[j];
-          double sc = std::max(g.raw.n * g.f_lo - lam * g.w_lo,
-                               g.raw.n * g.f_hi - lam * g.w_hi);
-          // A concave member's score peaks strictly inside (lo, hi) only
-          // when λ sits between the endpoint marginals; otherwise the
-          // clamped interior point is one of the endpoints above.
-          if (g.raw.a < 0.0 && lam < g.d_lo && lam > g.d_hi) {
-            const double pp = (lam - g.raw.b) * g.inv_2a;
-            sc = std::max(sc, g.raw.n * perf_scalar(g.raw, pp) -
-                                  lam * g.raw.n * pp);
-          }
-          adj[j] = sc - g.z;
-        }
-      };
-      if (have_dual) rebuild_dual(std::max(best.lambda, 0.0));
-
-      // Warm start: the hinted active set is solved up front and its value
-      // used *only* as a pruning bound.  It never seeds `best`, and the
-      // skip test below is strict, so the first enumerated achiever of the
-      // optimum wins in both warm and cold runs — bit-identical results.
-      double prune = best.value;
-      if (hint != nullptr && hint->engaged) {
-        std::uint32_t hm = 0;
-        for (std::size_t j = 0; j < m; ++j) {
-          if (gs[j].index < 64 &&
-              ((hint->active_mask >> gs[j].index) & 1) != 0) {
-            hm |= std::uint32_t{1} << j;
-          }
-        }
-        if (hm != 0 && hm != full) {
-          BestCandidate& probe = s.probe;
-          probe.value = -std::numeric_limits<double>::infinity();
-          const double hv = solve_mask(gs, raw.size(), P, hm, evals,
-                                       s.cand_ratios, probe);
-          prune = std::max(prune, hv);
-        }
-      }
-
-      // Exact bound test for one mask — identical to what a full 2^m
-      // enumeration would compute, used on the few masks that survive the
-      // droppable-set filter below (and on every mask when no dual bound
-      // is available).  Returns true when `best` improved.
-      const auto test_and_solve = [&](std::uint32_t mask) {
-        double ub = z_total;
-        double floors = 0.0;
-        double dual = dual_base;
-        for (std::uint32_t mm = mask; mm != 0; mm &= mm - 1) {
-          const std::size_t j =
-              static_cast<std::size_t>(std::countr_zero(mm));
-          ub += gs[j].u;
-          floors += gs[j].w_lo;
-          dual += adj[j];
-        }
-        if (floors > P) return false;
-        const double bound = have_dual ? std::min(ub, dual) : ub;
-        if (bound < std::max(best.value, prune)) return false;
-        const double before = best.value;
-        (void)solve_mask(gs, raw.size(), P, mask, evals, s.cand_ratios,
-                         best);
-        return best.value > before;
-      };
-
-      if (!have_dual) {
-        // The full set cannot pay its floors: no dual multiplier exists, so
-        // fall back to the crude bound over every proper subset.
-        for (std::uint32_t mask = full - 1; mask != 0; --mask) {
-          (void)test_and_solve(mask);
-        }
+  double sum_w_hi = 0.0;
+  double z_total = 0.0;
+  for (const KktGroup& g : gs) {
+    sum_w_hi += g.w_hi;
+    z_total += g.z;
+  }
+  if (sum_w_hi <= P) {
+    // Abundance fast path: every group can afford its own best point, so
+    // the optimum decouples into per-group argmaxes over {off, lo, hi}
+    // (concave members rise to hi; a decreasing or convex fit may prefer
+    // its floor or staying off).
+    for (std::size_t j = 0; j < m; ++j) {
+      const KktGroup& g = gs[j];
+      const double f0 = g.z / g.n;
+      if (g.f_hi >= g.f_lo && g.f_hi >= f0) {
+        p[j] = g.hi;
+      } else if (g.f_lo >= f0) {
+        p[j] = g.lo;
       } else {
-        // Droppable-set enumeration.  A mask survives the dual bound only
-        // if bound(mask) = bound(full) - Σ_{j∈C} adj_j >= T for its
-        // complement C, which forces every j ∈ C to satisfy
-        //   max(adj_j, 0) <= bound(full) - T - Σ_k min(adj_k, 0).
-        // Only subsets of that droppable set D are enumerated — typically
-        // a handful of masks instead of 2^m.  When a solve improves the
-        // incumbent, the dual is rebuilt around it and the (now smaller)
-        // family is re-derived; solved masks are remembered so every mask
-        // is solved at most once and the rounds terminate.
-        std::vector<std::uint32_t>& done = s.solved;
-        done.clear();
-        for (bool improved = true; improved;) {
-          improved = false;
-          double sum_adj = 0.0;
-          double neg_sum = 0.0;
-          for (std::size_t j = 0; j < m; ++j) {
-            sum_adj += adj[j];
-            neg_sum += std::min(adj[j], 0.0);
-          }
-          const double bound_full = dual_base + sum_adj;
-          const double slack =
-              bound_full - std::max(best.value, prune) - neg_sum + 1e-6;
-          std::uint32_t droppable = 0;
-          for (std::size_t j = 0; j < m; ++j) {
-            if (std::max(adj[j], 0.0) <= slack) {
-              droppable |= std::uint32_t{1} << j;
-            }
-          }
-          // Non-empty subsets of `droppable` in ascending order (single
-          // drops come before their unions), a deterministic order shared
-          // by warm, cold and batched runs.
-          for (std::uint32_t comp = (0u - droppable) & droppable; comp != 0;
-               comp = (comp - droppable) & droppable) {
-            const std::uint32_t mask = full ^ comp;
-            if (mask == 0) continue;
-            if (std::find(done.begin(), done.end(), mask) != done.end()) {
-              continue;
-            }
-            done.push_back(mask);
-            if (test_and_solve(mask)) {
-              rebuild_dual(std::max(best.lambda, 0.0));
-              improved = true;
-              break;
-            }
-          }
-        }
+        p[j] = 0.0;
+      }
+    }
+    s.offer(s.assemble({p.data(), m}), 0.0);
+    return;
+  }
+
+  const std::uint32_t full = (std::uint32_t{1} << m) - 1;
+  const double full_value = s.solve_mask(full);
+
+  // Weak-duality pruning bound.  For any λ >= 0 and any candidate of any
+  // mask:  value <= λ·P + Σ_{i∉mask} z_i + Σ_{i∈mask} score_i(λ), where
+  // score_i = max_p (n·Perf_i(p) - λ·n·p) over p ∈ [lo, hi].  With λ taken
+  // from the incumbent's configuration the bound is tight at the optimum,
+  // so subsets that merely re-shuffle watts are rejected without being
+  // solved.  Rebuilt every time the incumbent improves, which keeps it
+  // tight as the enumeration runs.
+  std::array<double, kMaxGroups> adj{};
+  const bool have_dual = full_value > -std::numeric_limits<double>::infinity();
+  double dual_base = z_total;
+  const auto rebuild_dual = [&](double lam) {
+    dual_base = lam * P + z_total;
+    for (std::size_t j = 0; j < m; ++j) {
+      const KktGroup& g = gs[j];
+      double sc = std::max(g.n * g.f_lo - lam * g.w_lo,
+                           g.n * g.f_hi - lam * g.w_hi);
+      // A concave member's score peaks strictly inside (lo, hi) only when
+      // λ sits between the endpoint marginals; otherwise the clamped
+      // interior point is one of the endpoints above.
+      if (g.a < 0.0 && lam < g.d_lo && lam > g.d_hi) {
+        const double pp = (lam - g.b) * g.inv_2a;
+        sc = std::max(sc, g.n * g.model->perf_at(Watts{pp}) - lam * g.n * pp);
+      }
+      adj[j] = sc - g.z;
+    }
+  };
+  if (have_dual) rebuild_dual(std::max(s.best.lambda, 0.0));
+
+  // Exact bound test for one mask, used on the few masks that survive the
+  // droppable-set filter below (and on every mask when no dual bound is
+  // available).  Returns true when the incumbent improved.
+  const auto test_and_solve = [&](std::uint32_t mask) {
+    double ub = z_total;
+    double floors = 0.0;
+    double dual = dual_base;
+    for (std::uint32_t mm = mask; mm != 0; mm &= mm - 1) {
+      const auto j = static_cast<std::size_t>(std::countr_zero(mm));
+      ub += gs[j].u;
+      floors += gs[j].w_lo;
+      dual += adj[j];
+    }
+    if (floors > P) return false;
+    const double bound = have_dual ? std::min(ub, dual) : ub;
+    if (bound < s.best.value) return false;
+    const double before = s.best.value;
+    (void)s.solve_mask(mask);
+    return s.best.value > before;
+  };
+
+  if (!have_dual) {
+    // The full set cannot pay its floors: no dual multiplier exists, so
+    // fall back to the crude bound over every proper subset.
+    for (std::uint32_t mask = full - 1; mask != 0; --mask) {
+      (void)test_and_solve(mask);
+    }
+    return;
+  }
+
+  // Droppable-set enumeration.  A mask survives the dual bound only if
+  // bound(mask) = bound(full) - Σ_{j∈C} adj_j >= T for its complement C,
+  // which forces every j ∈ C to satisfy
+  //   max(adj_j, 0) <= bound(full) - T - Σ_k min(adj_k, 0).
+  // Only subsets of that droppable set D are enumerated — typically a
+  // handful of masks instead of 2^m.  When a solve improves the incumbent,
+  // the dual is rebuilt around it and the (now smaller) family is
+  // re-derived; solved masks are remembered so every mask is solved at
+  // most once and the rounds terminate.
+  std::array<std::uint64_t, (std::size_t{1} << kMaxGroups) / 64> solved;
+  std::fill_n(solved.begin(), (std::size_t{full} >> 6) + 1, 0);
+  for (bool improved = true; improved;) {
+    improved = false;
+    double sum_adj = 0.0;
+    double neg_sum = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      sum_adj += adj[j];
+      neg_sum += std::min(adj[j], 0.0);
+    }
+    const double bound_full = dual_base + sum_adj;
+    const double slack = bound_full - s.best.value - neg_sum + 1e-6;
+    std::uint32_t droppable = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      if (std::max(adj[j], 0.0) <= slack) droppable |= std::uint32_t{1} << j;
+    }
+    // Non-empty subsets of `droppable` in ascending order (single drops
+    // come before their unions).
+    for (std::uint32_t comp = (0u - droppable) & droppable; comp != 0;
+         comp = (comp - droppable) & droppable) {
+      const std::uint32_t mask = full ^ comp;
+      if (mask == 0) continue;
+      std::uint64_t& word = solved[mask >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (mask & 63);
+      if ((word & bit) != 0) continue;
+      word |= bit;
+      if (test_and_solve(mask)) {
+        rebuild_dual(std::max(s.best.lambda, 0.0));
+        improved = true;
+        break;
       }
     }
   }
-
-  Allocation result{best.ratios, 0.0, {}};
-  // best.value was computed by assemble_candidate through the exact ratio
-  // round-trip evaluate_scalar performs (excluded groups contribute an
-  // exact 0.0), so it already *is* the validated objective — no second
-  // evaluation pass.
-  result.predicted_perf = best.value;
-  // Scalar twin of sanitize_allocation so batched and individual solves
-  // repair (never, for this constructive backend) identically.
-  int repairs = 0;
-  for (double& r : result.ratios) {
-    if (!std::isfinite(r) || r < 0.0) {
-      r = 0.0;
-      ++repairs;
-    }
-  }
-  const double sum = result.ratio_sum();
-  if (sum > 1.0 + 1e-9) {
-    for (double& r : result.ratios) r /= sum;
-    ++repairs;
-  }
-  if (!std::isfinite(result.predicted_perf)) {
-    result.predicted_perf = 0.0;
-    ++repairs;
-  }
-  if (repairs > 0) {
-    result.predicted_perf = evaluate_scalar(raw, result.ratios, P);
-    if (!std::isfinite(result.predicted_perf)) result.predicted_perf = 0.0;
-    if (telemetry::Telemetry* t = telemetry::current()) {
-      t->metrics().counter("gh_solver_repairs_total").increment(repairs);
-    }
-  }
-  return result;
-}
-
-/// Counters only, no "solve" trace event: warm, cold, batched and inline
-/// analytic solves must stay byte-identical at the trace level (the fuzzer
-/// compares them), and per-rack events from a coordinator-side batch would
-/// land in a different stream than inline ones.
-void report_analytic_n(double calls, double iterations) {
-  telemetry::Telemetry* t = telemetry::current();
-  if (t == nullptr) return;
-  t->metrics()
-      .counter("gh_solver_calls_total", {{"backend", "analytic_n"}})
-      .increment(calls);
-  t->metrics()
-      .counter("gh_solver_iterations_total", {{"backend", "analytic_n"}})
-      .increment(iterations);
 }
 
 }  // namespace
 
-SolverHint SolverHint::from(const Allocation& allocation) {
-  SolverHint hint;
-  hint.engaged = true;
-  const std::size_t limit =
-      std::min<std::size_t>(allocation.ratios.size(), 64);
-  for (std::size_t i = 0; i < limit; ++i) {
-    if (allocation.ratios[i] > 0.0) {
-      hint.active_mask |= std::uint64_t{1} << i;
-    }
-  }
-  return hint;
-}
-
-void SolverBatch::add(std::span<const GroupModel> groups, Watts total_supply,
-                      const SolverHint& hint) {
-  if (groups.empty() || groups.size() > kMaxAnalyticGroups) {
-    throw SolverError("solver batch: group count out of range");
-  }
-  if (total_supply.value() <= 0.0) {
-    throw SolverError("solver batch: total supply must be positive");
-  }
+Allocation Solver::solve(std::span<const GroupModel> groups,
+                         Watts total_supply) {
+  GH_PROBE("gh_solver_solve_ns");
+  validate_inputs(groups, total_supply, kMaxGroups);
+  KktSweep s;
+  s.total_groups = groups.size();
+  s.P = total_supply.value();
   for (std::size_t i = 0; i < groups.size(); ++i) {
-    validate_group(groups[i], i);
+    if (kkt_precompute(groups[i], i, s.groups[s.m])) ++s.m;
   }
-  if (offsets_.empty()) offsets_.push_back(0);
-  for (const GroupModel& g : groups) {
-    count_.push_back(static_cast<double>(g.count));
-    a_.push_back(g.fit.a);
-    b_.push_back(g.fit.b);
-    c_.push_back(g.fit.c);
-    min_w_.push_back(g.min_power.value());
-    max_w_.push_back(g.max_power.value());
-  }
-  offsets_.push_back(static_cast<std::uint32_t>(count_.size()));
-  supplies_.push_back(total_supply.value());
-  hints_.push_back(hint);
-}
+  kkt_sweep(s);
 
-void SolverBatch::clear() {
-  count_.clear();
-  a_.clear();
-  b_.clear();
-  c_.clear();
-  min_w_.clear();
-  max_w_.clear();
-  offsets_.clear();
-  supplies_.clear();
-  hints_.clear();
-}
-
-Allocation Solver::solve_analytic_n(std::span<const GroupModel> groups,
-                                    Watts total_supply,
-                                    const SolverHint* hint) {
-  GH_PROBE("gh_solver_solve_analytic_n_ns");
-  validate_inputs(groups, total_supply, kMaxAnalyticGroups);
-  std::array<RawGroup, kMaxAnalyticGroups> raw;
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    raw[i] = RawGroup{static_cast<double>(groups[i].count), groups[i].fit.a,
-                      groups[i].fit.b, groups[i].fit.c,
-                      groups[i].min_power.value(),
-                      groups[i].max_power.value()};
-  }
-  // Reused across calls so the per-epoch hot path performs no heap
-  // allocation beyond the returned Allocation itself.  Every field is
-  // cleared or overwritten before use, so carried capacity never carries
-  // state between solves.
-  thread_local AnalyticScratch scratch;
-  std::uint64_t evals = 0;
-  Allocation result =
-      analytic_solve({raw.data(), groups.size()}, total_supply.value(),
-                     hint != nullptr && hint->engaged ? hint : nullptr,
-                     scratch, evals);
-  report_analytic_n(1.0, static_cast<double>(evals));
-  return result;
-}
-
-std::vector<Allocation> Solver::solve_batch(const SolverBatch& batch) {
-  GH_PROBE("gh_solver_solve_batch_ns");
-  std::vector<Allocation> results;
-  results.reserve(batch.size());
-  AnalyticScratch scratch;
-  std::uint64_t evals = 0;
-  std::array<RawGroup, kMaxAnalyticGroups> raw;
-  for (std::size_t r = 0; r < batch.size(); ++r) {
-    const std::uint32_t begin = batch.offsets_[r];
-    const std::size_t m = batch.offsets_[r + 1] - begin;
-    for (std::size_t j = 0; j < m; ++j) {
-      raw[j] = RawGroup{batch.count_[begin + j], batch.a_[begin + j],
-                        batch.b_[begin + j],     batch.c_[begin + j],
-                        batch.min_w_[begin + j], batch.max_w_[begin + j]};
+  // The best value was computed through the exact ratio round trip
+  // evaluate() performs (groups left out of the sweep contribute an exact
+  // 0.0), so it already *is* the validated objective.
+  Allocation result{
+      std::vector<double>(s.best.ratios.begin(),
+                          s.best.ratios.begin() +
+                              static_cast<std::ptrdiff_t>(groups.size())),
+      s.best.value,
+      {}};
+  // Break ties toward spending the supply: when leaving every group off is
+  // optimal (every floor exceeds the budget, or no group can earn anything),
+  // the Uniform split earns no less and keeps the supply in use.
+  if (result.ratio_sum() == 0.0) {
+    double servers = 0.0;
+    for (const GroupModel& g : groups) servers += static_cast<double>(g.count);
+    std::vector<double> uniform;
+    uniform.reserve(groups.size());
+    for (const GroupModel& g : groups) {
+      uniform.push_back(static_cast<double>(g.count) / servers);
     }
-    const SolverHint& hint = batch.hints_[r];
-    results.push_back(analytic_solve({raw.data(), m}, batch.supplies_[r],
-                                     hint.engaged ? &hint : nullptr, scratch,
-                                     evals));
-  }
-  if (!batch.empty()) {
-    if (telemetry::Telemetry* t = telemetry::current()) {
-      t->metrics().counter("gh_solver_batch_calls_total").increment();
+    ++s.evals;
+    const double value = evaluate(groups, uniform, total_supply);
+    if (value >= result.predicted_perf) {
+      result = Allocation{std::move(uniform), value, {}};
     }
-    report_analytic_n(static_cast<double>(batch.size()),
-                      static_cast<double>(evals));
   }
-  return results;
-}
-
-std::optional<Allocation> Solver::solve_analytic_2(
-    std::span<const GroupModel> groups, Watts total_supply) {
-  validate_inputs(groups, total_supply);
-  if (groups.size() != 2) {
-    throw SolverError("analytic solver: exactly 2 groups required");
-  }
-  const GroupModel& g0 = groups[0];
-  const GroupModel& g1 = groups[1];
-  if (g0.fit.a >= 0.0 || g1.fit.a >= 0.0) {
-    throw SolverError("analytic solver: fits must be strictly concave");
-  }
-  // Near-degenerate curvature (the generators' near-linear fits draw
-  // |a| down to ~0): the interior stationary system divides by 2a and the
-  // candidate overflows long before any clamp can help.  There is no
-  // meaningful interior solution — signal the caller to use its own search.
-  constexpr double kMinCurvature = 1e-9;
-  if (std::fabs(g0.fit.a) < kMinCurvature ||
-      std::fabs(g1.fit.a) < kMinCurvature) {
-    return std::nullopt;
-  }
-  // Equal marginal utility: 2*a0*p0 + b0 = 2*a1*p1 + b1, with the budget
-  // c0*p0 + c1*p1 = P (p_i = per-server power of group i).
-  const double c0 = g0.count;
-  const double c1 = g1.count;
-  const double P = total_supply.value();
-  // From the marginal condition: p1 = (2*a0*p0 + b0 - b1) / (2*a1).
-  // Substitute into the budget:
-  //   c0*p0 + c1*(2*a0*p0 + b0 - b1)/(2*a1) = P.
-  const double denom = c0 + c1 * g0.fit.a / g1.fit.a;
-  if (std::fabs(denom) < 1e-12) {
-    return std::nullopt;  // degenerate curvature ratio: no interior solution
-  }
-  const double p0 =
-      (P - c1 * (g0.fit.b - g1.fit.b) / (2.0 * g1.fit.a)) / denom;
-  const double p1 = (2.0 * g0.fit.a * p0 + g0.fit.b - g1.fit.b) /
-                    (2.0 * g1.fit.a);
-  if (!std::isfinite(p0) || !std::isfinite(p1)) {
-    return std::nullopt;  // the interior system blew up numerically
-  }
-  // Clamp each group's per-server power into its useful range, then express
-  // as ratios.  The caller re-validates against the full clamped objective.
-  const double p0c =
-      std::clamp(p0, g0.min_power.value(), g0.saturation_power().value());
-  const double p1c =
-      std::clamp(p1, g1.min_power.value(), g1.saturation_power().value());
-  double r0 = c0 * p0c / P;
-  double r1 = c1 * p1c / P;
-  const double sum = r0 + r1;
-  if (sum > 1.0) {
-    r0 /= sum;
-    r1 /= sum;
-  }
-  Allocation result{{r0, r1}, 0.0, {}};
-  result.predicted_perf = evaluate(groups, result.ratios, total_supply);
-  // Counters only, no "solve" trace event: the analytic path also runs as
-  // an inner candidate of grid_refine, and a nested event would change the
-  // golden traces.  One closed-form evaluation = one iteration.
-  if (telemetry::Telemetry* t = telemetry::current()) {
-    t->metrics()
-        .counter("gh_solver_calls_total", {{"backend", "analytic_2"}})
-        .increment();
-    t->metrics()
-        .counter("gh_solver_iterations_total", {{"backend", "analytic_2"}})
-        .increment();
-  }
+  sanitize_allocation(groups, total_supply, /*recompute_perf=*/true, result);
+  report_solve("kkt", groups, total_supply, result, s.evals);
   return result;
 }
 

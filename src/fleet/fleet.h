@@ -76,16 +76,6 @@ struct FleetConfig {
   /// only the gh_shard_* / gh_fleet_shards gauges describe the topology
   /// itself.
   std::size_t shards = 1;
-  /// Batched solver pre-pass: after assigning grid shares (and before the
-  /// racks step), solve every rack's upcoming analytic-backend epoch in one
-  /// Solver::solve_batch pass over SoA-packed models and offer each result
-  /// to its controller.  The controller verifies every presolve against the
-  /// epoch's actual budget and models before accepting (stale ones are
-  /// discarded and re-solved inline), so allocations are bit-identical with
-  /// or without batching; only wall time and the batch hit/miss counters
-  /// differ.  Racks not on the analytic backend simply never produce a
-  /// request, so this is safe to leave on for mixed fleets.
-  bool batch_solve = false;
   /// Coordinator-level telemetry (the coordinator stamps its events with
   /// rack id -1; each rack's own telemetry is configured via its SimConfig).
   TelemetryConfig telemetry;

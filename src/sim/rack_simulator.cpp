@@ -457,15 +457,6 @@ void RackSimulator::set_grid_budget(Watts budget) {
   plant_.set_grid_budget(budget);
 }
 
-SolveRequest RackSimulator::peek_epoch_solve() const {
-  return controller_.peek_solve_request(rack_, plant_, clock_.now(),
-                                        demand_at(clock_.now()));
-}
-
-void RackSimulator::set_presolved(PresolvedSolve presolved) {
-  controller_.offer_presolved(std::move(presolved));
-}
-
 void RackSimulator::drain_trace_to_stream() {
   if (!stream_) return;
   tel::TraceRing& ring = telemetry_->trace();

@@ -155,18 +155,6 @@ class RackSimulator {
   /// coordinator reassigns shares of a datacenter-level budget per epoch).
   void set_grid_budget(Watts budget);
 
-  /// Describe the next epoch's analytic solve without mutating anything —
-  /// the fleet coordinator's batched pre-pass calls this after assigning
-  /// grid shares.  valid is false when the next epoch will not run the
-  /// analytic solver (see GreenHeteroController::peek_solve_request).
-  [[nodiscard]] SolveRequest peek_epoch_solve() const;
-
-  /// Offer a batch-computed solve for the next step_epoch.  Consumed (and
-  /// cleared) by that epoch's plan whether or not it is accepted; the
-  /// controller verifies it against the epoch's actual budget and models
-  /// before accepting, so results are bit-identical either way.
-  void set_presolved(PresolvedSolve presolved);
-
   /// Accumulated accounting since construction (used by run() and by the
   /// fleet coordinator to assemble reports).
   [[nodiscard]] const EnergyLedger& ledger() const { return ledger_; }

@@ -136,7 +136,7 @@ double Histogram::quantile(double q) const {
 }
 
 std::span<const std::string_view> builtin_metrics() {
-  static constexpr std::array<std::string_view, 51> kCatalog = {
+  static constexpr std::string_view kCatalog[] = {
       "gh_battery_soc",
       "gh_db_quarantined_total",
       "gh_db_refit_ns",
@@ -166,16 +166,10 @@ std::span<const std::string_view> builtin_metrics() {
       "gh_shard_deficit_w",
       "gh_shard_grant_w",
       "gh_shard_racks",
-      "gh_solver_batch_calls_total",
-      "gh_solver_batch_hits_total",
-      "gh_solver_batch_misses_total",
       "gh_solver_calls_total",
       "gh_solver_failures_total",
       "gh_solver_repairs_total",
-      "gh_solver_solve_analytic_n_ns",
-      "gh_solver_solve_batch_ns",
       "gh_solver_solve_grid_ns",
-      "gh_solver_solve_n_ns",
       "gh_solver_solve_ns",
       "gh_solver_solve_subset_ns",
       "gh_source_decisions_total",

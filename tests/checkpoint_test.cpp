@@ -475,6 +475,32 @@ TEST(Snapshot, RejectsForeignMagicAndFutureVersion) {
                checkpoint::CheckpointError);
 }
 
+TEST(Snapshot, RejectsPreviousVersionWithAClearError) {
+  // A snapshot written under an older layout must be refused up front,
+  // with a message naming both versions, rather than misread field by
+  // field.
+  ScratchDir scratch;
+  checkpoint::write_snapshot(scratch.path(), 7, 1, "payload");
+  const auto files = checkpoint::list_snapshots(scratch.path());
+  std::string previous = read_file(files[0]);
+  previous[8] = static_cast<char>(checkpoint::kSnapshotVersion - 1);
+  write_file(files[0], previous);
+  try {
+    (void)checkpoint::load_snapshot(files[0]);
+    FAIL() << "expected CheckpointError for a previous-version snapshot";
+  } catch (const checkpoint::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported checkpoint version " +
+                        std::to_string(checkpoint::kSnapshotVersion - 1)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("writes version " +
+                        std::to_string(checkpoint::kSnapshotVersion)),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(Snapshot, RejectsTrailingGarbage) {
   ScratchDir scratch;
   checkpoint::write_snapshot(scratch.path(), 7, 1, "payload");

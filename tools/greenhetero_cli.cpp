@@ -1,7 +1,6 @@
 // greenhetero — command-line front end to the library.
 //
 //   greenhetero simulate  [--policy P] [--workload W] [--comb CombN]
-//                         [--solver grid|analytic]
 //                         [--days N] [--trace high|low] [--capacity W]
 //                         [--grid W] [--battery-kwh K] [--chemistry lead|li]
 //                         [--seed S] [--csv FILE] [--faults PLAN.csv]
@@ -22,7 +21,6 @@
 //   greenhetero fleet     [--racks N] [--asymmetry A] [--grid W]
 //                         [--mode static|proportional] [--threads N]
 //                         [--shards N]
-//                         [--solver grid|analytic] [--batch-solve on]
 //                         [--hours H] [--faults PLAN.csv]
 //                         [--trace-out FILE.jsonl] [--stream on]
 //                         [--metrics-out FILE] [--metrics-every N]
@@ -34,6 +32,7 @@
 //                         [--checkpoint-keep K] [--resume DIR]
 //   greenhetero fuzz      [--seed S] [--runs N] [--run R] [--racks N]
 //                         [--epochs E] [--shards N] [--max-faults F]
+//                         [--solver on]
 //   greenhetero fuzz      --crash [--seed S] [--runs N] [--max-kills K]
 //                         [--crash-dir DIR]
 //   greenhetero benchdiff CURRENT.json BASELINE.json [--threshold T]
@@ -197,8 +196,7 @@ std::uint64_t scenario_hash(const Args& args) {
       "spans-out",  "csv",            "flightrec-dir",    "stream",
       "out",        "checkpoint-dir", "checkpoint-every", "checkpoint-keep",
       "resume",     "threads",        "repro-out",        "profile-out",
-      "batch-solve",  // batched solves are bit-identical by contract
-      "shards"};      // execution topology only; outputs are byte-identical
+      "shards"};  // execution topology only; outputs are byte-identical
   std::string canon;
   for (const auto& [key, value] : args.options) {
     bool excluded = false;
@@ -326,15 +324,6 @@ PolicyKind parse_policy(const std::string& name) {
   std::exit(2);
 }
 
-SolverBackend parse_solver(const Args& args) {
-  const std::string name = args.get("solver", "grid");
-  if (name == "analytic") return SolverBackend::kAnalyticN;
-  if (name == "grid") return SolverBackend::kGridRefine;
-  std::fprintf(stderr, "unknown solver '%s' (try grid, analytic)\n",
-               name.c_str());
-  std::exit(2);
-}
-
 std::vector<ServerGroup> parse_groups(const Args& args) {
   const std::string comb = args.get("comb", "");
   if (comb.empty()) return default_runtime_rack();
@@ -400,7 +389,6 @@ int cmd_simulate(const Args& args) {
   SimConfig cfg;
   cfg.controller.policy = policy;
   cfg.controller.seed = seed;
-  cfg.controller.solver_backend = parse_solver(args);
   cfg.telemetry.loss_ledger = !args.get("ledger", "").empty();
   cfg.check = !args.get("check", "").empty();
   const std::string spans_out = args.get("spans-out", "");
@@ -727,8 +715,7 @@ int cmd_fleet(const Args& args) {
     SimConfig cfg;
     cfg.controller.policy = PolicyKind::kGreenHetero;
     cfg.controller.seed = 40 + static_cast<std::uint64_t>(i);
-    cfg.controller.solver_backend = parse_solver(args);
-    cfg.telemetry.loss_ledger = ledger;
+      cfg.telemetry.loss_ledger = ledger;
     cfg.telemetry.spans = !spans_out.empty();
     cfg.telemetry.profile = !profile_out.empty();
     cfg.telemetry.rollup_window_min = stream_opt.rollup_window_min;
@@ -748,7 +735,6 @@ int cmd_fleet(const Args& args) {
   fleet_cfg.mode = mode;
   fleet_cfg.threads = static_cast<std::size_t>(args.number("threads", 0.0));
   fleet_cfg.shards = static_cast<std::size_t>(args.number("shards", 1.0));
-  fleet_cfg.batch_solve = !args.get("batch-solve", "").empty();
   fleet_cfg.check = check;
   fleet_cfg.telemetry.profile = !profile_out.empty();
   const ResumeOptions resume_opt = parse_resume_options(args);
@@ -925,9 +911,7 @@ int cmd_fuzz(const Args& args) {
   options.max_faults = static_cast<int>(args.number("max-faults", -1.0));
   options.shards = static_cast<int>(args.number("shards", -1.0));
   // --solver on: solver-focused mode — every rack runs a solver-driven
-  // policy on the analytic backend and each scenario is re-executed cold
-  // and batched at 1 and 4 threads, all byte-compared to the warm
-  // sequential reference.
+  // policy and the oracle samples heavier 4-group instances.
   options.solver = !args.get("solver", "").empty();
   options.log = &std::cout;
 
